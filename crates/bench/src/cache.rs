@@ -101,7 +101,7 @@ impl DiskCache {
                 if line.trim().is_empty() {
                     continue;
                 }
-                match json::parse(line).and_then(|v| Entry::deserialize(&v)) {
+                match json::from_str::<Entry>(line) {
                     Ok(e) if e.v == CACHE_SCHEMA_VERSION => {
                         entries.insert(e.fp, e.report);
                     }
@@ -159,7 +159,7 @@ impl DiskCache {
         let mut batch = Vec::new();
         for (fp, report) in fresh {
             let entry = Entry { v: CACHE_SCHEMA_VERSION, fp: fp.clone(), report };
-            body.push_str(&json::to_string(&entry));
+            json::write_to(&mut body, &entry);
             body.push('\n');
             batch.push((fp, entry.report));
         }
@@ -207,7 +207,7 @@ impl DiskCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{Key, Settings};
     use memnet_core::{NetworkScale, PolicyKind, SimConfig};
@@ -215,7 +215,7 @@ mod tests {
     use memnet_policy::Mechanism;
     use memnet_simcore::SimDuration;
 
-    fn unique_dir(tag: &str) -> PathBuf {
+    pub(crate) fn unique_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "memnet-cache-test-{tag}-{}-{}",
             std::process::id(),
@@ -225,7 +225,7 @@ mod tests {
         dir
     }
 
-    fn tiny_report() -> RunReport {
+    pub(crate) fn tiny_report() -> RunReport {
         SimConfig::builder()
             .workload("mixD")
             .eval_period(SimDuration::from_us(20))
@@ -247,6 +247,44 @@ mod tests {
         assert_eq!(back.workload, report.workload);
         assert_eq!(back.completed_reads, report.completed_reads);
         assert_eq!(back.power.watts().to_bits(), report.power.watts().to_bits());
+    }
+
+    /// Text holding every character class the writer escapes, plus
+    /// multi-byte and astral UTF-8.
+    pub(crate) const HOSTILE: &str =
+        "q\"uote \\back\\slash\nnew\tline \u{1} \u{e9} \u{20ac} \u{1f600}";
+
+    /// A real report whose labels are all hostile text.
+    pub(crate) fn hostile_report() -> RunReport {
+        let mut report = tiny_report();
+        report.workload = HOSTILE;
+        report.scale = "sc\u{1f}ale \u{fc}";
+        report.policy = "pol\"icy\\ \u{1f4a1}";
+        report.mechanism = "mech\n\u{7f}\u{2713}";
+        report
+    }
+
+    #[test]
+    fn hostile_text_survives_store_and_reopen_byte_identically() {
+        let dir = unique_dir("hostile");
+        let report = hostile_report();
+        let fps: Vec<String> =
+            (0..3).map(|i| format!("v{CACHE_SCHEMA_VERSION}|wl={HOSTILE}|i={i}")).collect();
+        let mut cache = DiskCache::open(&dir).unwrap();
+        cache.store(fps.iter().map(|fp| (fp.clone(), report.clone()))).unwrap();
+
+        let want = json::to_string(&report);
+        let first = DiskCache::open(&dir).unwrap();
+        let second = DiskCache::open(&dir).unwrap();
+        assert_eq!(first.len(), fps.len());
+        for fp in &fps {
+            let a = first.get(fp).expect("a hostile fingerprint survives reopen");
+            assert_eq!(json::to_string(a), want);
+            assert_eq!(a.workload, HOSTILE);
+            let b = second.get(fp).unwrap();
+            assert!(std::ptr::eq(a.workload, b.workload), "a reopen leaked the label again");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

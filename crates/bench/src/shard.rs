@@ -274,11 +274,11 @@ pub fn run_shard(
         if !shard.contains(fp) {
             continue;
         }
-        out.push_str(&format!(
-            "{{\"fp\":{},\"report\":{}}}\n",
-            json::to_string(fp.as_str()),
-            json::to_string(matrix.get_seeded(key, *seed)),
-        ));
+        out.push_str("{\"fp\":");
+        json::write_to(&mut out, fp.as_str());
+        out.push_str(",\"report\":");
+        json::write_to(&mut out, matrix.get_seeded(key, *seed));
+        out.push_str("}\n");
         count += 1;
     }
     out.push_str(&footer_line(shard, count, stats));
@@ -323,7 +323,7 @@ fn get_num<T: std::str::FromStr>(value: &Value, key: &str, name: &str) -> Result
 pub fn parse_sweep_file(name: &str, text: &str) -> Result<ShardFile, String> {
     let mut lines = text.lines();
     let header = lines.next().ok_or_else(|| format!("{name}: empty sweep file"))?;
-    let hv = json::parse(header).map_err(|e| format!("{name}: bad sweep header: {e}"))?;
+    let hv = json::parse_borrowed(header).map_err(|e| format!("{name}: bad sweep header: {e}"))?;
     let schema = hv
         .get("schema")
         .and_then(|v| v.as_str())
@@ -378,7 +378,8 @@ pub fn parse_sweep_file(name: &str, text: &str) -> Result<ShardFile, String> {
         if footer.is_some() {
             return Err(format!("{name}:{lineno}: data after the end-of-file footer"));
         }
-        let value = json::parse(line).map_err(|e| format!("{name}:{lineno}: bad line: {e}"))?;
+        let value =
+            json::parse_borrowed(line).map_err(|e| format!("{name}:{lineno}: bad line: {e}"))?;
         if value.get("end").is_ok() {
             footer = Some(value);
             continue;
@@ -664,6 +665,66 @@ mod tests {
         let dup = Settings { seeds: vec![base.seed], ..Settings::default() };
         let same = SweepPlan::new(&default_figures(), &dup).unwrap();
         assert_eq!(same.len(), solo.len());
+    }
+
+    #[test]
+    fn hostile_labels_and_fingerprints_survive_shard_parse_and_merge() {
+        use crate::cache::tests::{hostile_report, unique_dir, HOSTILE};
+        use memnet_core::RunReport;
+        use serde::Deserialize;
+
+        let dir = unique_dir("shard-hostile");
+        let settings = Settings {
+            eval_period: memnet_simcore::SimDuration::from_us(20),
+            threads: 1,
+            cache_dir: Some(dir.clone()),
+            ..Settings::default()
+        };
+        let plan = SweepPlan::new(&["model_diff".to_string()], &settings).unwrap();
+        // One relabelled report serves every cell from the disk cache, so
+        // nothing simulates and every shard below reopens the cache.
+        let report = hostile_report();
+        let fresh = plan.cells().iter().map(|(_, _, fp)| (fp.clone(), report.clone()));
+        crate::DiskCache::open(&dir).unwrap().store(fresh).unwrap();
+
+        let (full, stats) = run_shard(&plan, Shard::full(), &settings, &mut Matrix::new()).unwrap();
+        assert_eq!((stats.cache_hits, stats.simulated), (plan.len(), 0));
+        let want = json::to_string(&report);
+        let parsed = parse_sweep_file("full", &full).unwrap();
+        assert_eq!(parsed.entries.len(), plan.len());
+        for (_, line) in &parsed.entries {
+            let v = json::parse_borrowed(line).unwrap();
+            let back = RunReport::deserialize(v.get("report").unwrap()).unwrap();
+            assert_eq!(json::to_string(&back), want);
+        }
+        let pieces: Vec<ShardFile> = (0..3)
+            .map(|index| {
+                let shard = Shard { index, of: 3 };
+                let (text, _) = run_shard(&plan, shard, &settings, &mut Matrix::new()).unwrap();
+                parse_sweep_file(&format!("shard-{shard}"), &text).unwrap()
+            })
+            .collect();
+        assert_eq!(merge(&pieces).unwrap().text, full, "merge must reproduce the unsharded run");
+
+        // Fingerprints are plan text: hostile ones come back out exactly,
+        // and the entry lines stay verbatim. (Merge re-derives the plan
+        // from the registry, so it cannot take these foreign cells.)
+        let hostile = SweepPlan {
+            cells: plan
+                .cells()
+                .iter()
+                .map(|(k, s, fp)| (k.clone(), *s, format!("{fp}|{HOSTILE}")))
+                .collect(),
+            ..plan.clone()
+        };
+        let (text, _) = run_shard(&hostile, Shard::full(), &settings, &mut Matrix::new()).unwrap();
+        let file = parse_sweep_file("hostile", &text).unwrap();
+        let got: Vec<&str> = file.entries.iter().map(|(fp, _)| fp.as_str()).collect();
+        let want: Vec<&str> = hostile.cells().iter().map(|(_, _, fp)| fp.as_str()).collect();
+        assert_eq!(got, want);
+        let body: String = file.entries.iter().map(|(_, line)| format!("{line}\n")).collect();
+        assert!(text.contains(&body));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

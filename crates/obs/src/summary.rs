@@ -67,7 +67,8 @@ pub fn parse_jsonl(text: &str) -> Result<TraceSummary, String> {
     let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
 
     let (n0, header_line) = lines.next().ok_or("empty trace file")?;
-    let header = json::parse(header_line).map_err(|e| format!("line {}: {}", n0 + 1, e.0))?;
+    let header =
+        json::parse_borrowed(header_line).map_err(|e| format!("line {}: {}", n0 + 1, e.0))?;
     let schema: String = field(&header, "schema").map_err(|e| format!("line {}: {e}", n0 + 1))?;
     if schema != "memnet-trace" {
         return Err(format!("line {}: schema is {schema:?}, expected \"memnet-trace\"", n0 + 1));
@@ -96,7 +97,7 @@ pub fn parse_jsonl(text: &str) -> Result<TraceSummary, String> {
         if footer.is_some() {
             return Err(format!("line {n}: content after the end footer"));
         }
-        let v = json::parse(line).map_err(|e| format!("line {n}: {}", e.0))?;
+        let v = json::parse_borrowed(line).map_err(|e| format!("line {n}: {}", e.0))?;
         let ev: String = field(&v, "ev").map_err(|e| format!("line {n}: {e}"))?;
         match ev.as_str() {
             "end" => {

@@ -261,7 +261,7 @@ fn gen_deserialize(name: &str, shape: &Shape) -> String {
                         .push_str(&format!("{v:?} => ::core::result::Result::Ok({name}::{v}),\n"));
                 }
                 arms.push_str(&format!(
-                    "::serde::json::Value::Str(tag) => match tag.as_str() {{\n\
+                    "::serde::json::Value::Str(tag) => match &**tag {{\n\
                      {unit_arms}\
                      other => ::core::result::Result::Err(::serde::de::Error::msg(\
                          format!(\"unknown {name} variant {{other:?}}\"))),\n\
@@ -298,7 +298,7 @@ fn gen_deserialize(name: &str, shape: &Shape) -> String {
                 arms.push_str(&format!(
                     "::serde::json::Value::Obj(pairs) if pairs.len() == 1 => {{\n\
                          let (tag, payload) = &pairs[0];\n\
-                         match tag.as_str() {{\n\
+                         match &**tag {{\n\
                          {tup_arms}\
                          other => ::core::result::Result::Err(::serde::de::Error::msg(\
                              format!(\"unknown {name} variant {{other:?}}\"))),\n\
@@ -317,7 +317,7 @@ fn gen_deserialize(name: &str, shape: &Shape) -> String {
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
-             fn deserialize(v: &::serde::json::Value) \
+             fn deserialize(v: &::serde::json::Value<'_>) \
                  -> ::core::result::Result<Self, ::serde::de::Error> {{\n{body}\n}}\n\
          }}"
     )

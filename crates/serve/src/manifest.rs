@@ -290,7 +290,7 @@ struct Field<'a> {
     text: &'a str,
     path: String,
     key: &'a str,
-    value: &'a Value,
+    value: &'a Value<'a>,
 }
 
 impl<'a> Field<'a> {
@@ -345,8 +345,8 @@ fn walk_section(
         ));
     };
     for (key, v) in pairs {
-        let path = if section.is_empty() { key.clone() } else { format!("{section}.{key}") };
-        if !known.contains(&key.as_str()) {
+        let path = if section.is_empty() { key.to_string() } else { format!("{section}.{key}") };
+        if !known.contains(&&**key) {
             return Err(ManifestError::new(
                 &path,
                 line_of(text, key),
@@ -362,7 +362,7 @@ impl Manifest {
     /// Parses and schema-checks one manifest document. Pure text-in — no
     /// file I/O happens here (see [`Manifest::resolve`] for that).
     pub fn parse(text: &str) -> Result<Manifest, ManifestError> {
-        let doc = json::parse(text).map_err(|e| {
+        let doc = json::parse_borrowed(text).map_err(|e| {
             ManifestError::new(
                 "manifest",
                 line_of_byte_error(text, &e.0),

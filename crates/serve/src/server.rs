@@ -415,7 +415,7 @@ fn serve_connection(state: &Arc<State>, client: u64, reader: TcpStream, out: &Ar
         if line.trim().is_empty() {
             continue;
         }
-        let doc = match json::parse(&line) {
+        let doc = match json::parse_borrowed(&line) {
             Ok(doc) => doc,
             Err(e) => {
                 out.send(&format!(

@@ -153,7 +153,7 @@ impl RequestTrace {
     pub fn parse_jsonl(text: &str) -> Result<RequestTrace, String> {
         let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
         let (_, header_line) = lines.next().ok_or("empty trace file")?;
-        let header = json::parse(header_line).map_err(|e| format!("line 1: {e}"))?;
+        let header = json::parse_borrowed(header_line).map_err(|e| format!("line 1: {e}"))?;
         let schema =
             header.get("schema").and_then(|v| v.as_str()).map_err(|e| format!("header: {e}"))?;
         if schema != REQTRACE_SCHEMA {
@@ -190,7 +190,7 @@ impl RequestTrace {
         let mut prev = SimTime::ZERO;
         for (idx, line) in lines {
             let n = idx + 1;
-            let v = json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
+            let v = json::parse_borrowed(line).map_err(|e| format!("line {n}: {e}"))?;
             if let Ok(ev) = v.get("ev") {
                 let ev = ev.as_str().map_err(|e| format!("line {n}: {e}"))?;
                 if ev != "end" {

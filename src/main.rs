@@ -647,7 +647,7 @@ fn submit_command(rest: Vec<String>) -> Result<ExitCode, String> {
             return Ok(ExitCode::from(memnet::serve::EXIT_REJECTED as u8));
         }
     };
-    let doc = serde::json::parse(&text).expect("validated manifest reparses");
+    let doc = serde::json::parse_borrowed(&text).expect("validated manifest reparses");
 
     let addr = serve_addr(addr);
     let mut stream = std::net::TcpStream::connect(&addr)
@@ -661,7 +661,7 @@ fn submit_command(rest: Vec<String>) -> Result<ExitCode, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let event = serde::json::parse(&line)
+        let event = serde::json::parse_borrowed(&line)
             .map_err(|e| format!("bad event from {addr}: {} in {line:?}", e.0))?;
         let kind = event.get("event").ok().and_then(|v| v.as_str().ok()).unwrap_or("?").to_owned();
         match kind.as_str() {

@@ -48,7 +48,7 @@ impl Client {
         self.send(&format!("{{\"op\":\"submit\",\"manifest\":{}}}", json::to_string(&doc)));
     }
 
-    fn next_event(&mut self) -> Value {
+    fn next_event(&mut self) -> Value<'static> {
         let mut line = String::new();
         let n = self.reader.read_line(&mut line).expect("read event");
         assert!(n > 0, "server closed the connection mid-stream");
@@ -57,7 +57,7 @@ impl Client {
 
     /// Reads events until a terminal one, returning `(kind, event, seen)`
     /// where `seen` is every event kind in arrival order.
-    fn until_terminal(&mut self) -> (String, Value, Vec<String>) {
+    fn until_terminal(&mut self) -> (String, Value<'static>, Vec<String>) {
         let mut seen = Vec::new();
         loop {
             let event = self.next_event();
