@@ -149,8 +149,8 @@ impl Key {
 
     /// [`Self::fingerprint`] under an explicit seed. Multi-seed sweeps
     /// cache each replica under the fingerprint a solo run with that
-    /// seed would use — the lockstep engine is bit-identical to solo
-    /// runs, so the cache never needs to know how a result was driven.
+    /// seed would use — each `(key, seed)` cell is a solo run, so the
+    /// cache never needs to know which sweep produced a result.
     pub fn fingerprint_at(&self, settings: &Settings, seed: u64) -> String {
         format!(
             "v{}|eval_ps={}|seed={}|wl={}|topo={:?}|scale={:?}|policy={:?}|mech={:?}|alpha={}|roo={}|map={:?}|faults={}|obs={}|src={}|calib={}|energy={}",
@@ -274,8 +274,7 @@ impl Matrix {
     /// [`Settings::seed_list`], in order of preference: already in
     /// memory, in the persistent cache, or freshly simulated (in
     /// parallel) — and persists anything fresh for the next process.
-    /// Keys needing more than one seed are driven by the lockstep
-    /// multi-seed engine (one shared construction per configuration);
+    /// Every missing `(key, seed)` cell is one job on the worker pool;
     /// stats count `(key, seed)` cells.
     ///
     /// # Errors
@@ -355,33 +354,24 @@ impl Matrix {
             return Ok(stats);
         }
 
-        // Group each key's missing seeds into one job: multi-seed jobs
-        // run lockstep, sharing construction across replicas.
-        let mut jobs: Vec<(Key, SimConfig, Vec<u64>)> = Vec::new();
+        // One job per missing (key, seed) cell, all on the one pool.
+        let mut configs = Vec::with_capacity(to_simulate.len());
         for (k, s) in &to_simulate {
-            match jobs.iter_mut().find(|(key, _, _)| key == k) {
-                Some((_, _, seeds)) => seeds.push(*s),
-                None => jobs.push((k.clone(), k.try_config(settings)?, vec![*s])),
-            }
+            let mut cfg = k.try_config(settings)?;
+            cfg.seed = *s;
+            configs.push(cfg);
         }
-        let reports = memnet_core::sweep_seeds(
-            jobs.iter().map(|(_, cfg, seeds)| (cfg.clone(), seeds.clone())).collect(),
-            settings.threads,
-        );
-        let fresh: Vec<(Key, u64, RunReport)> = jobs
-            .into_iter()
-            .zip(reports)
-            .flat_map(|((k, _, seeds), rs)| {
-                seeds.into_iter().zip(rs).map(move |(s, r)| (k.clone(), s, r))
-            })
-            .collect();
+        let reports = memnet_core::sweep(configs, settings.threads);
         if let Some(disk) = self.disk_for(settings) {
-            let entries = fresh.iter().map(|(k, s, r)| (k.fingerprint_at(settings, *s), r.clone()));
+            let entries = to_simulate
+                .iter()
+                .zip(&reports)
+                .map(|((k, s), r)| (k.fingerprint_at(settings, *s), r.clone()));
             if let Err(e) = disk.store(entries) {
                 memnet_simcore::memnet_warn!("[matrix] failed to persist results: {e}");
             }
         }
-        for (k, s, r) in fresh {
+        for ((k, s), r) in to_simulate.into_iter().zip(reports) {
             self.insert(k, s, settings, r);
         }
         Ok(stats)
@@ -542,39 +532,52 @@ mod tests {
     }
 
     #[test]
-    fn multi_seed_cells_run_lockstep_and_match_solo_sweeps() {
-        let settings = Settings { seeds: vec![2, 3], ..tiny_settings() };
+    fn multi_seed_cells_match_solo_sweeps() {
+        // 2 keys x 3 seeds (base seed 1 plus 2, 3): at 4 threads the seeds
+        // of one key land on different workers.
         let keys = [tiny_key("mixD"), tiny_key("lu.D")];
-        let mut m = Matrix::new();
-        let stats = m.ensure(&keys, &settings).unwrap();
-        assert_eq!(stats, EnsureStats { requested: 6, memoized: 0, cache_hits: 0, simulated: 6 });
+        let seeds = [1u64, 2, 3];
+        let ensured = |threads: usize| {
+            let settings = Settings { seeds: vec![2, 3], threads, ..tiny_settings() };
+            let mut m = Matrix::new();
+            let stats = m.ensure(&keys, &settings).unwrap();
+            assert_eq!(
+                stats,
+                EnsureStats { requested: 6, memoized: 0, cache_hits: 0, simulated: 6 }
+            );
+            // Re-ensuring is fully memoized, per (key, seed) cell.
+            let stats = m.ensure(&keys, &settings).unwrap();
+            assert_eq!(
+                stats,
+                EnsureStats { requested: 6, memoized: 6, cache_hits: 0, simulated: 0 }
+            );
+            m
+        };
+        let (serial, pooled) = (ensured(1), ensured(4));
 
-        // Each replica is byte-identical to the same cell swept solo
-        // under that seed alone.
         for k in &keys {
             assert_eq!(
-                serde::json::to_string(m.get(k)),
-                serde::json::to_string(m.get_seeded(k, settings.seed)),
+                serde::json::to_string(serial.get(k)),
+                serde::json::to_string(serial.get_seeded(k, 1)),
                 "the base seed serves both views",
             );
-            for seed in [2u64, 3] {
+            for seed in seeds {
                 let mut solo = Matrix::new();
-                solo.ensure(
-                    std::slice::from_ref(k),
-                    &Settings { seed, seeds: Vec::new(), ..settings.clone() },
-                )
-                .unwrap();
+                let solo_settings = Settings { seed, seeds: Vec::new(), ..tiny_settings() };
+                solo.ensure(std::slice::from_ref(k), &solo_settings).unwrap();
+                let want = serde::json::to_string(solo.get(k));
                 assert_eq!(
-                    serde::json::to_string(m.get_seeded(k, seed)),
-                    serde::json::to_string(solo.get(k)),
-                    "lockstep replica must equal the solo sweep for seed {seed}",
+                    serde::json::to_string(serial.get_seeded(k, seed)),
+                    want,
+                    "1-thread cell must equal the solo sweep for seed {seed}",
+                );
+                assert_eq!(
+                    serde::json::to_string(pooled.get_seeded(k, seed)),
+                    want,
+                    "4-thread cell must equal the solo sweep for seed {seed}",
                 );
             }
         }
-
-        // Re-ensuring is fully memoized, per (key, seed) cell.
-        let stats = m.ensure(&keys, &settings).unwrap();
-        assert_eq!(stats, EnsureStats { requested: 6, memoized: 6, cache_hits: 0, simulated: 0 });
     }
 
     #[test]
@@ -588,7 +591,7 @@ mod tests {
         assert_eq!(stats.simulated, 2);
 
         // A later solo sweep under the extra seed is served entirely from
-        // the cache the lockstep run populated.
+        // the cache the multi-seed run populated.
         let solo_settings = Settings {
             seed: 2,
             seeds: Vec::new(),

@@ -21,11 +21,10 @@ pub struct Settings {
     /// Base RNG seed.
     pub seed: u64,
     /// Extra replica seeds simulated per matrix cell alongside [`seed`].
-    /// Empty (the default) means one run per cell. Cells with more than
-    /// one seed are driven by the lockstep multi-seed engine, which
-    /// shares per-configuration construction across replicas; each
-    /// seed's result keeps its own cache fingerprint, exactly as if it
-    /// had been swept alone.
+    /// Empty (the default) means one run per cell. Each `(cell, seed)`
+    /// pair is its own job on the sweep's worker pool, and each seed's
+    /// result keeps its own cache fingerprint, exactly as if it had been
+    /// swept alone.
     ///
     /// [`seed`]: Settings::seed
     pub seeds: Vec<u64>,
@@ -66,8 +65,7 @@ impl Settings {
     ///   warning and falls back to all cores).
     /// * `MEMNET_SEED` — base RNG seed.
     /// * `MEMNET_SEEDS` — comma-separated extra replica seeds per cell
-    ///   (e.g. `MEMNET_SEEDS=2,3,4`); cells with several seeds run
-    ///   lockstep.
+    ///   (e.g. `MEMNET_SEEDS=2,3,4`).
     /// * `MEMNET_CACHE_DIR` — cache directory.
     /// * `MEMNET_NO_CACHE` — set to `1`/`true` to disable the cache.
     ///

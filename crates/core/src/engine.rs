@@ -62,7 +62,7 @@ pub const ROUTER_LATENCY: SimDuration = SimDuration::from_ps(4 * 640);
 type PktSlot = u32;
 
 #[derive(Debug, Clone)]
-pub(crate) enum Event {
+enum Event {
     TryInject,
     LinkTryStart(LinkId),
     LinkDone(LinkId),
@@ -77,74 +77,6 @@ pub(crate) enum Event {
     ModeApply(LinkId),
     ChainWake(LinkId),
     EpochEnd,
-}
-
-/// Seed-independent construction products: the (route-around-rewritten)
-/// topology and the flattened routing tables derived from it. Every
-/// replica of a lockstep multi-seed run shares one instance — cloning is
-/// a handful of `Arc` bumps, so K replicas pay the topology build and
-/// route flattening exactly once.
-#[derive(Debug, Clone)]
-pub(crate) struct EngineParts {
-    topo: Arc<Topology>,
-    /// Modules whose failed upstream edge was bridged over a spare port.
-    rerouted_modules: usize,
-    /// Modules no spare port could bridge; their links stay off all run.
-    unreachable: Arc<[ModuleId]>,
-    /// Per-module reachability after route-around.
-    reachable: Arc<[bool]>,
-    /// First hop from the processor toward each destination module.
-    root_of: Arc<[ModuleId]>,
-    /// Flat next-hop table, `current * n + dest` → next module on the
-    /// unique tree path (sentinel when `current` is not on `dest`'s
-    /// route).
-    next_hop: Arc<[ModuleId]>,
-}
-
-impl EngineParts {
-    /// Builds the shared parts for `cfg`. Depends only on the topology
-    /// kind, scale and fault scenario — never on the seed, so replicas
-    /// differing only in `cfg.seed` can share the result.
-    pub(crate) fn build(cfg: &SimConfig) -> EngineParts {
-        let n = cfg.n_hmcs();
-        let built = Topology::build(cfg.topology, n);
-        // Hard-failed upstream edges are routed around before anything
-        // else sees the topology, so the controller, the routing tables
-        // and the wake-chaining helpers all operate on the surviving tree.
-        let (topo, rerouted_modules, unreachable) = if cfg.faults.hard_failed.is_empty() {
-            (built, 0, Vec::new())
-        } else {
-            let failed: Vec<ModuleId> =
-                cfg.faults.hard_failed.iter().map(|&m| ModuleId(m)).collect();
-            let ra = built.route_around(&failed);
-            (ra.topology, ra.rerouted.len(), ra.unreachable)
-        };
-        let topo = Arc::new(topo);
-        let mut reachable = vec![true; n];
-        for &m in &unreachable {
-            reachable[m.0] = false;
-        }
-        // Flatten the per-destination routes into a next-hop table so the
-        // forwarding path is one indexed load instead of a route scan.
-        let sentinel = ModuleId(usize::MAX);
-        let mut root_of = vec![sentinel; n];
-        let mut next_hop = vec![sentinel; n * n];
-        for dest in topo.modules() {
-            let route = topo.route(dest);
-            root_of[dest.0] = route[0];
-            for hop in route.windows(2) {
-                next_hop[hop[0].0 * n + dest.0] = hop[1];
-            }
-        }
-        EngineParts {
-            topo,
-            rerouted_modules,
-            unreachable: unreachable.into(),
-            reachable: reachable.into(),
-            root_of: root_of.into(),
-            next_hop: next_hop.into(),
-        }
-    }
 }
 
 /// The assembled simulator. Construct with [`Engine::new`], execute with
@@ -199,8 +131,8 @@ pub struct Engine {
     /// (reset when a transmission finally passes CRC).
     retry_attempts: Vec<u32>,
     /// Per-module reachability after route-around (all true without
-    /// hard link failures). Shared across lockstep replicas.
-    reachable: Arc<[bool]>,
+    /// hard link failures).
+    reachable: Vec<bool>,
     rerouted_modules: usize,
     unreachable_modules: usize,
     wake_timeouts: u64,
@@ -219,13 +151,11 @@ pub struct Engine {
     /// Cached module count as `u64` for the address mapping.
     n_modules: u64,
     /// First hop from the processor toward each destination module.
-    /// Shared across lockstep replicas.
-    root_of: Arc<[ModuleId]>,
+    root_of: Vec<ModuleId>,
     /// Flat next-hop table, `current * n + dest` → the next module on the
     /// unique tree path (sentinel when `current` is not on `dest`'s
     /// route). Replaces the per-packet linear scan of a route vector.
-    /// Shared across lockstep replicas.
-    next_hop: Arc<[ModuleId]>,
+    next_hop: Vec<ModuleId>,
     next_packet_id: u64,
     /// Earliest pending TryInject event (dedup guard: completions and
     /// schedule waits would otherwise pile up duplicate events).
@@ -275,17 +205,36 @@ struct ObsEpochState {
 impl Engine {
     /// Builds the simulator for `cfg`.
     pub fn new(cfg: SimConfig) -> Engine {
-        let parts = EngineParts::build(&cfg);
-        Engine::from_parts(cfg, parts)
-    }
-
-    /// Builds the simulator for `cfg` from pre-built shared parts.
-    /// [`Engine::new`] builds the parts itself; lockstep multi-seed runs
-    /// build them once and hand every replica a clone.
-    pub(crate) fn from_parts(cfg: SimConfig, parts: EngineParts) -> Engine {
         let n = cfg.n_hmcs();
-        let EngineParts { topo, rerouted_modules, unreachable, reachable, root_of, next_hop } =
-            parts;
+        let built = Topology::build(cfg.topology, n);
+        // Hard-failed upstream edges are routed around before anything
+        // else sees the topology, so the controller, the routing tables
+        // and the wake-chaining helpers all operate on the surviving tree.
+        let (topo, rerouted_modules, unreachable) = if cfg.faults.hard_failed.is_empty() {
+            (built, 0, Vec::new())
+        } else {
+            let failed: Vec<ModuleId> =
+                cfg.faults.hard_failed.iter().map(|&m| ModuleId(m)).collect();
+            let ra = built.route_around(&failed);
+            (ra.topology, ra.rerouted.len(), ra.unreachable)
+        };
+        let topo = Arc::new(topo);
+        let mut reachable = vec![true; n];
+        for &m in &unreachable {
+            reachable[m.0] = false;
+        }
+        // Flatten the per-destination routes into a next-hop table so the
+        // forwarding path is one indexed load instead of a route scan.
+        let sentinel = ModuleId(usize::MAX);
+        let mut root_of = vec![sentinel; n];
+        let mut next_hop = vec![sentinel; n * n];
+        for dest in topo.modules() {
+            let route = topo.route(dest);
+            root_of[dest.0] = route[0];
+            for hop in route.windows(2) {
+                next_hop[hop[0].0 * n + dest.0] = hop[1];
+            }
+        }
         let faults =
             (!cfg.faults.is_none()).then(|| FaultModel::new(&cfg.faults, topo.n_links(), cfg.seed));
         let start = SimTime::ZERO;
@@ -308,7 +257,7 @@ impl Engine {
             l.set_roo_params(cfg.roo_params);
             l.set_roo_threshold(d.mode.roo);
         }
-        for &m in unreachable.iter() {
+        for &m in &unreachable {
             // A severed module's links can never carry traffic: drop
             // them to the 1 % off state for the whole run and keep the
             // ROO machinery from ever trying to wake them.
@@ -510,7 +459,7 @@ impl Engine {
     /// Arms the initial event population: idleness timers, the first
     /// injection, the first epoch boundary and the observability stream.
     /// Called exactly once, before the first `dispatch`.
-    pub(crate) fn begin(&mut self) {
+    fn begin(&mut self) {
         // Arm idleness timers for links that start with an ROO threshold.
         for i in 0..self.topo.n_links() {
             self.arm_turnoff(LinkId(i));
@@ -548,10 +497,9 @@ impl Engine {
 
     /// Processes one popped event: advances the clock, bumps the event
     /// counter, runs the Full-level monotonicity audit and handles the
-    /// event. Factored out of `run_limited` so the lockstep driver
-    /// processes events through exactly the same path as a solo run.
+    /// event.
     #[inline]
-    pub(crate) fn dispatch(&mut self, t: SimTime, ev: Event) {
+    fn dispatch(&mut self, t: SimTime, ev: Event) {
         debug_assert!(t >= self.now, "time went backwards");
         if self.audit.enabled(AuditLevel::Full) {
             let now = self.now;
@@ -562,59 +510,6 @@ impl Engine {
         self.now = t;
         self.events_processed += 1;
         self.handle(ev);
-    }
-
-    /// Pops and dispatches up to `max` events bounded by the run window,
-    /// returning how many were processed. Zero means the replica has
-    /// drained its queue (or every remaining event lies past `end`) and
-    /// is ready to finalize. Used by the lockstep multi-seed driver;
-    /// per-replica event order — and therefore every report byte — is
-    /// identical to a solo `run` because each replica owns its queue.
-    pub(crate) fn step_batch(&mut self, max: u64) -> u64 {
-        let mut done = 0;
-        while done < max {
-            match self.queue.pop_at_or_before(self.end) {
-                Some((t, ev)) => {
-                    self.dispatch(t, ev);
-                    done += 1;
-                }
-                None => break,
-            }
-        }
-        done
-    }
-
-    /// Truncates the run window for a per-replica sim-time cap (see
-    /// `run_limited`). Returns whether the cap actually shortened it.
-    pub(crate) fn truncate_end(&mut self, cap: SimTime) -> bool {
-        if cap < self.end {
-            self.end = cap;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Ends the accounting window at the last processed event (early
-    /// stop); residency accounting stays exact.
-    pub(crate) fn mark_stopped(&mut self) {
-        self.end = self.now;
-    }
-
-    /// Advances the clock to the end of the (possibly truncated) window
-    /// after the queue drains, mirroring the tail of `run_limited`.
-    pub(crate) fn complete(&mut self) {
-        self.now = self.end;
-    }
-
-    /// Events processed so far (lockstep driver bookkeeping).
-    pub(crate) fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Current simulated time (lockstep driver bookkeeping).
-    pub(crate) fn now(&self) -> SimTime {
-        self.now
     }
 
     fn schedule(&mut self, at: SimTime, ev: Event) {
@@ -1313,7 +1208,7 @@ impl Engine {
     // Finalization
     // ------------------------------------------------------------------
 
-    pub(crate) fn finalize(mut self) -> RunReport {
+    fn finalize(mut self) -> RunReport {
         // Close the trailing partial epoch (skipped when the evaluation
         // period is an exact multiple of the epoch: the final EpochEnd
         // event already sampled at `end`).

@@ -40,7 +40,6 @@ pub mod config;
 pub mod engine;
 pub mod frontend;
 pub mod limits;
-pub mod lockstep;
 pub mod metrics;
 pub mod multichannel;
 pub mod report_text;
@@ -55,5 +54,5 @@ pub use frontend::{InjectStep, TrafficSource};
 pub use limits::{LimitedRun, RunLimits, RunProgress, StopReason};
 pub use memnet_policy::PolicyKind;
 pub use metrics::{LinkTelemetry, PowerSummary, RunReport};
-pub use runner::{run_pair, sweep, sweep_seeds};
+pub use runner::{run_pair, sweep};
 pub use trace::{Trace, TraceEvent, TracePoint};

@@ -243,8 +243,8 @@ mod tests {
 
     #[test]
     fn replica_seeds_cannot_collide_derived_streams() {
-        // Lockstep replicas adopt their seeds verbatim (Engine::run_many
-        // never derives them), so stream safety across a multi-seed cell
+        // Multi-seed sweeps run each replica with its seed verbatim (no
+        // seed is derived), so stream safety across a multi-seed cell
         // reduces to: for any small set of user-chosen seeds — adjacent
         // integers being the worst realistic case — every stream any
         // replica derives is pairwise distinct, across replicas and

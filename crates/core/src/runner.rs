@@ -23,52 +23,21 @@ pub fn run_pair(cfg: SimConfig) -> (RunReport, RunReport) {
 }
 
 /// Runs a batch of configurations across `threads` worker threads,
-/// returning reports in input order.
+/// returning reports in input order. Multi-seed plans pass one
+/// configuration per `(key, seed)` cell, so the replicas of one key
+/// spread across the pool like any other jobs.
 ///
 /// # Panics
 ///
 /// Panics if `threads` is zero, or if a worker panics — in which case the
-/// panic message names the configuration whose run failed rather than
-/// surfacing as an opaque poisoned-lock error in the caller.
+/// panic message names the configuration and seed whose run failed rather
+/// than surfacing as an opaque poisoned-lock error in the caller.
 pub fn sweep(configs: Vec<SimConfig>, threads: usize) -> Vec<RunReport> {
-    let jobs = configs
-        .into_iter()
-        .map(|c| {
-            let seed = c.seed;
-            (c, vec![seed])
-        })
-        .collect();
-    sweep_seeds(jobs, threads)
-        .into_iter()
-        .map(|mut reports| reports.pop().expect("one seed per job"))
-        .collect()
-}
-
-/// Runs a batch of `(configuration, seed list)` jobs across `threads`
-/// worker threads, returning each job's reports (one per seed, in seed
-/// order) in input order.
-///
-/// A job with one seed runs solo. A job with several seeds runs them as
-/// lockstep replicas through [`Engine::run_many_limited`] — one shared
-/// construction, the serial interleaved driver — so its reports are
-/// byte-identical to solo runs while the batch stays within this sweep's
-/// worker pool (the replicas never spawn nested threads).
-///
-/// [`Engine::run_many_limited`]: crate::Engine::run_many_limited
-///
-/// # Panics
-///
-/// Panics if `threads` is zero, or if a worker panics — in which case the
-/// panic message names the configuration whose run failed rather than
-/// surfacing as an opaque poisoned-lock error in the caller.
-pub fn sweep_seeds(jobs: Vec<(SimConfig, Vec<u64>)>, threads: usize) -> Vec<Vec<RunReport>> {
     assert!(threads > 0, "need at least one thread");
-    let n = jobs.len();
-    let jobs: Vec<(usize, SimConfig, Vec<u64>)> =
-        jobs.into_iter().enumerate().map(|(i, (c, s))| (i, c, s)).collect();
-    let queue = Mutex::new(jobs);
-    // One slot per job: the reports, or the panic message of a failed run.
-    type Slot = Option<Result<Vec<RunReport>, String>>;
+    let n = configs.len();
+    let queue = Mutex::new(configs.into_iter().enumerate().collect::<Vec<_>>());
+    // One slot per job: the report, or the panic message of a failed run.
+    type Slot = Option<Result<RunReport, String>>;
     let results: Mutex<Vec<Slot>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..threads.min(n.max(1)) {
@@ -77,28 +46,12 @@ pub fn sweep_seeds(jobs: Vec<(SimConfig, Vec<u64>)>, threads: usize) -> Vec<Vec<
                 // so other workers keep draining the queue and the panic is
                 // attributed below instead of dying on "queue lock".
                 let job = queue.lock().unwrap_or_else(|p| p.into_inner()).pop();
-                let Some((idx, cfg, seeds)) = job else { break };
+                let Some((idx, cfg)) = job else { break };
                 // Copy the identifying fields out so the description is
                 // only formatted on the panic path, not once per job.
-                let (workload, topology, policy, mechanism) =
-                    (cfg.workload.name, cfg.topology, cfg.policy, cfg.mechanism);
-                let outcome = catch_unwind(AssertUnwindSafe(|| match seeds.as_slice() {
-                    [] => Vec::new(),
-                    [seed] => {
-                        let mut solo = cfg;
-                        solo.seed = *seed;
-                        vec![solo.run()]
-                    }
-                    many => crate::Engine::run_many_limited(
-                        &cfg,
-                        many,
-                        crate::limits::RunLimits::none(),
-                    )
-                    .into_iter()
-                    .map(|r| r.report)
-                    .collect(),
-                }))
-                .map_err(|cause| {
+                let (workload, topology, policy, mechanism, seed) =
+                    (cfg.workload.name, cfg.topology, cfg.policy, cfg.mechanism, cfg.seed);
+                let outcome = catch_unwind(AssertUnwindSafe(|| cfg.run())).map_err(|cause| {
                     let msg = cause
                         .downcast_ref::<String>()
                         .map(String::as_str)
@@ -106,7 +59,7 @@ pub fn sweep_seeds(jobs: Vec<(SimConfig, Vec<u64>)>, threads: usize) -> Vec<Vec<
                         .unwrap_or("non-string panic payload");
                     format!(
                         "workload {workload:?}, topology {topology:?}, policy {policy:?}, \
-                         mechanism {mechanism:?}: {msg}"
+                         mechanism {mechanism:?}, seed {seed}: {msg}"
                     )
                 });
                 results.lock().unwrap_or_else(|p| p.into_inner())[idx] = Some(outcome);

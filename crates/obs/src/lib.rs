@@ -267,8 +267,7 @@ pub fn saturate_latency(v: i128) -> i64 {
 /// constructs event payloads.
 ///
 /// `Send` is a supertrait so an engine holding a recorder can move to a
-/// worker thread (the lockstep multi-seed driver runs replicas on every
-/// available core).
+/// worker thread (sweeps run their jobs on a pool of worker threads).
 pub trait Recorder: Send {
     /// Whether the engine should construct and deliver payloads at all.
     fn is_active(&self) -> bool {

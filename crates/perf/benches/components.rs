@@ -49,16 +49,6 @@ fn bench_multi_seed(c: &mut Criterion) {
             )
         });
     });
-    c.bench_function("components/multi_seed_lockstep_50us", |b| {
-        b.iter(|| {
-            black_box(
-                kernels::end_to_end_multi_seed_lockstep(50, &seeds)
-                    .iter()
-                    .map(|r| r.events_processed)
-                    .sum::<u64>(),
-            )
-        });
-    });
 }
 
 criterion_group!(

@@ -111,31 +111,19 @@ pub fn end_to_end_obs(eval_us: u64, seed: u64, enabled: bool) -> RunReport {
     cfg.run()
 }
 
-/// The replica count of the multi-seed bench pair: the lockstep target
-/// in the docs (≥ 1.5× aggregate events/sec on multi-core hosts) is
-/// quoted at this K.
+/// The replica count of the multi-seed bench.
 pub const MULTI_SEED_K: usize = 8;
 
-/// Seeds of the multi-seed bench pair: K distinct replicas of the
+/// Seeds of the multi-seed bench: K distinct replicas of the
 /// end-to-end configuration.
 pub fn multi_seed_seeds() -> Vec<u64> {
     (0..MULTI_SEED_K as u64).map(|i| 7 + i).collect()
 }
 
-/// The solo half of the multi-seed pair: runs the end-to-end
-/// configuration once per seed, sequentially — K independent engines,
-/// K passes over seed-independent setup.
+/// The multi-seed bench: runs the end-to-end configuration once per
+/// seed, sequentially — K independent engines.
 pub fn end_to_end_multi_seed_solo(eval_us: u64, seeds: &[u64]) -> Vec<RunReport> {
     seeds.iter().map(|&s| end_to_end(eval_us, s)).collect()
-}
-
-/// The lockstep half of the pair: the same K replicas advanced by
-/// [`memnet_core::Engine::run_many`], sharing seed-independent setup
-/// (and threads, where the host has them). Reports are bit-identical to
-/// the solo half's — the lockstep metamorphic suite proves it — so the
-/// pair measures pure engine overhead, not different work.
-pub fn end_to_end_multi_seed_lockstep(eval_us: u64, seeds: &[u64]) -> Vec<RunReport> {
-    memnet_core::Engine::run_many(&base_config(eval_us, seeds[0]), seeds)
 }
 
 fn base_config(eval_us: u64, seed: u64) -> SimConfig {
@@ -174,19 +162,6 @@ mod tests {
         assert_eq!(off.power.watts().to_bits(), on.power.watts().to_bits());
         assert!(off.obs.is_none());
         assert!(on.obs.as_ref().is_some_and(|o| !o.epochs.is_empty()));
-    }
-
-    #[test]
-    fn multi_seed_pair_does_identical_work() {
-        let seeds = multi_seed_seeds();
-        let solo = end_to_end_multi_seed_solo(30, &seeds);
-        let lockstep = end_to_end_multi_seed_lockstep(30, &seeds);
-        assert_eq!(solo.len(), MULTI_SEED_K);
-        assert_eq!(lockstep.len(), MULTI_SEED_K);
-        for (a, b) in solo.iter().zip(&lockstep) {
-            assert_eq!(a.events_processed, b.events_processed);
-            assert_eq!(a.completed_reads, b.completed_reads);
-        }
     }
 
     #[test]

@@ -130,11 +130,14 @@ struct ConnOut {
 impl ConnOut {
     fn send(&self, line: &str) {
         use std::io::Write;
+        // One write per line: a separate write for the newline would sit
+        // behind Nagle's algorithm until the client ACKs the first one.
+        let mut buf = Vec::with_capacity(line.len() + 1);
+        buf.extend_from_slice(line.as_bytes());
+        buf.push(b'\n');
         let mut guard = self.stream.lock().unwrap();
         if let Some(stream) = guard.as_mut() {
-            let ok =
-                stream.write_all(line.as_bytes()).and_then(|()| stream.write_all(b"\n")).is_ok();
-            if !ok {
+            if stream.write_all(&buf).is_err() {
                 *guard = None;
             }
         }
